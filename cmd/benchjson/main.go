@@ -6,12 +6,13 @@
 //
 // With -compare it is also the CI regression gate: the parsed run is
 // checked against a committed baseline and the command exits nonzero
-// when allocs/op regress beyond -max-allocs-regress. Allocation counts
-// are deterministic enough to gate on; wall-clock times on shared
-// runners are not, so time deltas are reported but never fail the run:
+// when allocs/op regress beyond -max-allocs-regress or B/op beyond
+// -max-bytes-regress. Allocation counts and bytes are deterministic
+// enough to gate on; wall-clock times on shared runners are not, so
+// time deltas are reported but never fail the run:
 //
 //	go test -run '^$' -bench . -benchtime=20x -benchmem ./internal/... |
-//	    go run ./cmd/benchjson -compare BENCH_hdl.json -max-allocs-regress 10%
+//	    go run ./cmd/benchjson -compare BENCH_hdl.json -max-allocs-regress 10% -max-bytes-regress 10%
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,17 +38,21 @@ type Bench struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
-// Doc is the emitted JSON document.
+// Doc is the emitted JSON document. Nproc is the logical CPU count of
+// the host that ran benchjson, which is the benchmarking host when
+// benchjson reads `go test` through a pipe as documented above.
 type Doc struct {
 	Goos       string  `json:"goos,omitempty"`
 	Goarch     string  `json:"goarch,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
+	Nproc      int     `json:"nproc,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline JSON document to gate against (exit 1 on allocs/op regression)")
+	compare := flag.String("compare", "", "baseline JSON document to gate against (exit 1 on allocs/op or B/op regression)")
 	maxAllocs := flag.String("max-allocs-regress", "10%", "allocs/op tolerance over the baseline: a percentage like 10%, or a ratio like 0.1")
+	maxBytes := flag.String("max-bytes-regress", "10%", "B/op tolerance over the baseline, in the same form (increases under 1 KiB/op always pass); a baseline without B/op is not gated on bytes")
 	summary := flag.String("summary", "", "with -compare: append a markdown time-delta table to this file (advisory; pass \"$GITHUB_STEP_SUMMARY\" in CI — an empty value is silently ignored)")
 	flag.Parse()
 
@@ -55,6 +61,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
 		os.Exit(1)
 	}
+	doc.Nproc = runtime.NumCPU()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
@@ -70,6 +77,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: -max-allocs-regress: %v\n", err)
 		os.Exit(1)
 	}
+	bytesTol, err := parseTolerance(*maxBytes)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: -max-bytes-regress: %v\n", err)
+		os.Exit(1)
+	}
 	raw, err := os.ReadFile(*compare)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
@@ -80,7 +92,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: parse baseline %s: %v\n", *compare, err)
 		os.Exit(1)
 	}
-	report := compareDocs(&base, doc, tol)
+	report := compareDocs(&base, doc, tol, bytesTol)
 	for _, line := range report.lines {
 		fmt.Fprintln(os.Stderr, line)
 	}
@@ -92,12 +104,12 @@ func main() {
 		}
 	}
 	if len(report.regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: %d allocs/op regression(s) beyond %s vs %s\n",
-			len(report.regressions), *maxAllocs, *compare)
+		fmt.Fprintf(os.Stderr, "benchjson: %d regression(s) beyond %s allocs/op or %s B/op vs %s\n",
+			len(report.regressions), *maxAllocs, *maxBytes, *compare)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: allocs/op within %s of %s (%d benchmarks compared)\n",
-		*maxAllocs, *compare, report.compared)
+	fmt.Fprintf(os.Stderr, "benchjson: allocs/op within %s and B/op within %s of %s (%d benchmarks compared)\n",
+		*maxAllocs, *maxBytes, *compare, report.compared)
 }
 
 func parseBenchText(r io.Reader) (*Doc, error) {
@@ -148,17 +160,26 @@ func parseTolerance(s string) (float64, error) {
 // compareReport is the outcome of one baseline comparison.
 type compareReport struct {
 	lines       []string // human-readable findings, regressions first
-	regressions []string // benchmark keys that failed the allocs gate
+	regressions []string // "<benchmark key> <unit>" for each failed gate
 	compared    int
 }
 
+// minBytesRegress is the smallest B/op increase the bytes gate reports.
+// At -benchtime=20x a single runtime allocation of a few KiB inside the
+// timed loop (seen as a one-off 262 B/op on benchmarks that allocate
+// nothing) would otherwise fail a benchmark with a small baseline.
+const minBytesRegress = 1024
+
 // compareDocs gates cur against base: allocs/op may exceed the baseline
-// by at most tol (relative). Time deltas are advisory only — shared CI
-// runners make wall-clock noise far larger than any tolerance worth
-// alerting on. Benchmarks missing from either side are reported but do
+// by at most tol, and B/op by at most bytesTol (both relative) or
+// minBytesRegress, whichever is larger. A baseline without B/op
+// (recorded without -benchmem, or 0 B/op, which the allocs gate already
+// pins at zero allocations) is not gated on bytes. Time deltas are
+// advisory only — shared CI runners make wall-clock noise far larger
+// than any tolerance worth alerting on. Benchmarks missing from either side are reported but do
 // not fail the gate (renames and additions are legitimate; the
 // committed baseline review catches silent deletions).
-func compareDocs(base, cur *Doc, tol float64) compareReport {
+func compareDocs(base, cur *Doc, tol, bytesTol float64) compareReport {
 	var rep compareReport
 	var advisory []string
 	baseBy := map[string]Bench{}
@@ -177,9 +198,18 @@ func compareDocs(base, cur *Doc, tol float64) compareReport {
 		rep.compared++
 		limit := float64(b.AllocsPerOp) * (1 + tol)
 		if float64(c.AllocsPerOp) > limit {
-			rep.regressions = append(rep.regressions, key)
+			rep.regressions = append(rep.regressions, key+" allocs/op")
 			rep.lines = append(rep.lines, fmt.Sprintf("REGRESSION: %s allocs/op %d -> %d (limit %.1f)",
 				key, b.AllocsPerOp, c.AllocsPerOp, limit))
+		}
+		if b.BPerOp == 0 {
+			if c.BPerOp > 0 {
+				advisory = append(advisory, fmt.Sprintf("  bytes not gated: %s — baseline has no B/op, this run %d B/op", key, c.BPerOp))
+			}
+		} else if limit := max(float64(b.BPerOp)*(1+bytesTol), float64(b.BPerOp+minBytesRegress)); float64(c.BPerOp) > limit {
+			rep.regressions = append(rep.regressions, key+" B/op")
+			rep.lines = append(rep.lines, fmt.Sprintf("REGRESSION: %s B/op %d -> %d (limit %.1f)",
+				key, b.BPerOp, c.BPerOp, limit))
 		}
 		if b.NsPerOp > 0 {
 			delta := (c.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
@@ -204,7 +234,8 @@ func compareDocs(base, cur *Doc, tol float64) compareReport {
 }
 
 // appendSummary appends a markdown table of every compared benchmark —
-// time per op with the delta against the baseline, and allocs per op —
+// time per op with the delta against the baseline, bytes and allocs
+// per op —
 // to path. It is written for CI job summaries ($GITHUB_STEP_SUMMARY),
 // where the advisory time deltas deserve more visibility than a log
 // line but must never gate the build.
@@ -216,29 +247,26 @@ func appendSummary(path string, base, cur *Doc, rep compareReport) error {
 	var sb strings.Builder
 	sb.WriteString("### Benchmark comparison (advisory)\n\n")
 	if len(rep.regressions) > 0 {
-		fmt.Fprintf(&sb, "**%d allocs/op regression(s)** — the gate fails this run.\n\n", len(rep.regressions))
+		fmt.Fprintf(&sb, "**%d allocs/op or B/op regression(s)** — the gate fails this run.\n\n", len(rep.regressions))
 	}
-	sb.WriteString("| benchmark | ns/op (base) | ns/op (this run) | Δ time | allocs/op |\n")
-	sb.WriteString("|---|---:|---:|---:|---:|\n")
+	sb.WriteString("| benchmark | ns/op (base) | ns/op (this run) | Δ time | B/op | allocs/op |\n")
+	sb.WriteString("|---|---:|---:|---:|---:|---:|\n")
 	for _, c := range cur.Benchmarks {
 		key := c.Pkg + "." + c.Name
 		name := shortPkg(c.Pkg) + "." + strings.TrimPrefix(c.Name, "Benchmark")
 		b, ok := baseBy[key]
 		if !ok {
-			fmt.Fprintf(&sb, "| %s | — | %.1f | new | %d |\n", name, c.NsPerOp, c.AllocsPerOp)
+			fmt.Fprintf(&sb, "| %s | — | %.1f | new | %d | %d |\n", name, c.NsPerOp, c.BPerOp, c.AllocsPerOp)
 			continue
 		}
 		delta := "—"
 		if b.NsPerOp > 0 {
 			delta = fmt.Sprintf("%+.0f%%", (c.NsPerOp-b.NsPerOp)/b.NsPerOp*100)
 		}
-		allocs := fmt.Sprintf("%d", c.AllocsPerOp)
-		if c.AllocsPerOp != b.AllocsPerOp {
-			allocs = fmt.Sprintf("%d → %d", b.AllocsPerOp, c.AllocsPerOp)
-		}
-		fmt.Fprintf(&sb, "| %s | %.1f | %.1f | %s | %s |\n", name, b.NsPerOp, c.NsPerOp, delta, allocs)
+		fmt.Fprintf(&sb, "| %s | %.1f | %.1f | %s | %s | %s |\n", name, b.NsPerOp, c.NsPerOp, delta,
+			change(b.BPerOp, c.BPerOp), change(b.AllocsPerOp, c.AllocsPerOp))
 	}
-	sb.WriteString("\nTime deltas are advisory only; the build gates on allocs/op.\n")
+	sb.WriteString("\nTime deltas are advisory only; the build gates on allocs/op and B/op.\n")
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -246,6 +274,14 @@ func appendSummary(path string, base, cur *Doc, rep compareReport) error {
 	defer f.Close()
 	_, err = f.WriteString(sb.String())
 	return err
+}
+
+// change renders a per-op count, with the baseline value when it moved.
+func change(base, cur int64) string {
+	if base == cur {
+		return fmt.Sprintf("%d", cur)
+	}
+	return fmt.Sprintf("%d → %d", base, cur)
 }
 
 // shortPkg trims the module prefix from a package path for table rows.

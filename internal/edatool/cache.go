@@ -25,6 +25,8 @@ import (
 //     repair loop only the candidate RTL changes, so the testbench and
 //     stub units skip re-parsing. Returning the *same* AST pointers is
 //     also what feeds cache 3 (ASTs are immutable after parse).
+//     Concurrent misses on one key parse once; the other callers wait
+//     for that parse and count a hit.
 //  3. The front-end elaboration template caches (vsim.ElabCache /
 //     vhdlsim.ElabCache), keyed by AST pointer + parameter/generic
 //     valuation: unchanged modules of a changed design skip their
@@ -42,8 +44,8 @@ import (
 type DesignCache struct {
 	mu sync.Mutex
 
-	vparse map[string]*vparseEntry
-	hparse map[string]*hparseEntry
+	vparse map[string]*parseEntry[*verilog.SourceFile]
+	hparse map[string]*parseEntry[*vhdl.DesignFile]
 
 	vdesigns map[string]*vsim.Design
 	hdesigns map[string]*vhdlsim.Design
@@ -54,13 +56,12 @@ type DesignCache struct {
 	stats CacheStats
 }
 
-type vparseEntry struct {
-	sf    *verilog.SourceFile
-	diags diag.List
-}
-
-type hparseEntry struct {
-	df    *vhdl.DesignFile
+// parseEntry is one per-unit parse. done is closed once the parse has
+// finished; ast and diags are valid after that only if ok is set.
+type parseEntry[T any] struct {
+	done  chan struct{}
+	ok    bool
+	ast   T
 	diags diag.List
 }
 
@@ -94,8 +95,8 @@ const maxDesigns = 256
 // any number of simulations.
 func NewDesignCache() *DesignCache {
 	return &DesignCache{
-		vparse:   make(map[string]*vparseEntry),
-		hparse:   make(map[string]*hparseEntry),
+		vparse:   make(map[string]*parseEntry[*verilog.SourceFile]),
+		hparse:   make(map[string]*parseEntry[*vhdl.DesignFile]),
 		vdesigns: make(map[string]*vsim.Design),
 		hdesigns: make(map[string]*vhdlsim.Design),
 		velab:    vsim.NewElabCache(),
@@ -189,46 +190,57 @@ func (c *DesignCache) releaseVHDL(key string, d *vhdlsim.Design) {
 // name and content return the retained AST and diagnostics).
 func (c *DesignCache) parseVerilog(src Source) (*verilog.SourceFile, diag.List) {
 	key := src.Name + "\x00" + verilog.HashSource(src.Text)
-	c.mu.Lock()
-	if e, ok := c.vparse[key]; ok {
-		c.stats.ParseHits++
-		c.mu.Unlock()
-		return e.sf, e.diags
-	}
-	c.stats.ParseMisses++
-	c.mu.Unlock()
-	sf, pd := verilog.Parse(src.Name, src.Text)
-	c.mu.Lock()
-	if len(c.vparse) >= maxDesigns {
-		for k := range c.vparse {
-			delete(c.vparse, k)
-			break
-		}
-	}
-	c.vparse[key] = &vparseEntry{sf: sf, diags: pd}
-	c.mu.Unlock()
-	return sf, pd
+	return parseOnce(c, c.vparse, key, func() (*verilog.SourceFile, diag.List) {
+		return verilog.Parse(src.Name, src.Text)
+	})
 }
 
 func (c *DesignCache) parseVHDL(src Source) (*vhdl.DesignFile, diag.List) {
 	key := src.Name + "\x00" + vhdl.HashSource(src.Text)
+	return parseOnce(c, c.hparse, key, func() (*vhdl.DesignFile, diag.List) {
+		return vhdl.Parse(src.Name, src.Text)
+	})
+}
+
+// parseOnce returns the parse cached in m under key, running parse on a
+// miss. The entry is published before parsing, so concurrent misses on
+// one key parse once: later callers count a hit and wait for the
+// in-flight parse. If parse panics, the entry is withdrawn and each
+// waiter parses for itself (re-raising the panic on its own goroutine
+// rather than hanging).
+func parseOnce[T any](c *DesignCache, m map[string]*parseEntry[T], key string, parse func() (T, diag.List)) (T, diag.List) {
 	c.mu.Lock()
-	if e, ok := c.hparse[key]; ok {
+	if e, ok := m[key]; ok {
 		c.stats.ParseHits++
 		c.mu.Unlock()
-		return e.df, e.diags
+		<-e.done
+		if !e.ok {
+			return parse()
+		}
+		return e.ast, e.diags
 	}
 	c.stats.ParseMisses++
-	c.mu.Unlock()
-	df, pd := vhdl.Parse(src.Name, src.Text)
-	c.mu.Lock()
-	if len(c.hparse) >= maxDesigns {
-		for k := range c.hparse {
-			delete(c.hparse, k)
+	if len(m) >= maxDesigns {
+		for k := range m {
+			delete(m, k)
 			break
 		}
 	}
-	c.hparse[key] = &hparseEntry{df: df, diags: pd}
+	e := &parseEntry[T]{done: make(chan struct{})}
+	m[key] = e
 	c.mu.Unlock()
-	return df, pd
+
+	defer func() {
+		if !e.ok {
+			c.mu.Lock()
+			if m[key] == e {
+				delete(m, key)
+			}
+			c.mu.Unlock()
+		}
+		close(e.done)
+	}()
+	e.ast, e.diags = parse()
+	e.ok = true
+	return e.ast, e.diags
 }

@@ -2,9 +2,14 @@ package edatool
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/diag"
+	"repro/internal/verilog"
+	"repro/internal/vhdl"
 )
 
 const cacheTestDUT = `
@@ -87,6 +92,63 @@ func TestParseCacheCountsAndPointerIdentity(t *testing.T) {
 	st := cache.Stats()
 	if st.ParseHits != 1 || st.ParseMisses != 2 {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses", st)
+	}
+}
+
+// TestParseCacheSingleFlight pins that concurrent misses on one key
+// parse once: every other caller waits for the in-flight parse, counts
+// a hit, and gets the same AST pointer and the diagnostics an uncached
+// parse reports. Run it under -race.
+func TestParseCacheSingleFlight(t *testing.T) {
+	const n = 16
+	p := bench.NewSuite().ByID("counter_up_w4")
+	if p == nil {
+		t.Fatal("problem counter_up_w4 not in suite")
+	}
+	// A trailing parse error makes the diagnostics non-empty.
+	vsrc := Source{Name: "tb.v", Text: p.RefTBVerilog + "\nmodule broken(input a; endmodule\n"}
+	hsrc := Source{Name: "tb.vhd", Text: p.RefTBVHDL + "\nentity broken is port (a : in bit endentity;\n"}
+	_, vwant := verilog.Parse(vsrc.Name, vsrc.Text)
+	_, hwant := vhdl.Parse(hsrc.Name, hsrc.Text)
+	if len(vwant) == 0 || len(hwant) == 0 {
+		t.Fatalf("want parse diagnostics, got %d Verilog / %d VHDL", len(vwant), len(hwant))
+	}
+
+	cache := NewDesignCache()
+	var (
+		wg    sync.WaitGroup
+		start = make(chan struct{})
+		vasts [n]*verilog.SourceFile
+		hasts [n]*vhdl.DesignFile
+		vdiag [n]diag.List
+		hdiag [n]diag.List
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			vasts[i], vdiag[i] = cache.parseVerilog(vsrc)
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			hasts[i], hdiag[i] = cache.parseVHDL(hsrc)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	if st := cache.Stats(); st.ParseMisses != 2 || st.ParseHits != 2*n-2 {
+		t.Errorf("stats = %+v, want exactly 1 miss per language (2) and %d hits", st, 2*n-2)
+	}
+	for i := 0; i < n; i++ {
+		if vasts[i] == nil || vasts[i] != vasts[0] || hasts[i] == nil || hasts[i] != hasts[0] {
+			t.Fatalf("caller %d got a different AST pointer", i)
+		}
+		if !reflect.DeepEqual(vdiag[i], vwant) || !reflect.DeepEqual(hdiag[i], hwant) {
+			t.Fatalf("caller %d got diagnostics that differ from an uncached parse", i)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package verilog
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer turns Verilog source text into tokens. It never fails hard:
@@ -20,12 +21,23 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: []rune(src), line: 1, col: 1}
 }
 
+// runesPerToken is a low estimate of the mean runes per token of RTL
+// source (the bench golden designs and testbenches average about 5).
+const runesPerToken = 4
+
 // Tokens lexes the entire input, always ending with a TokEOF token.
 func Tokens(src string) []Token {
 	lx := NewLexer(src)
-	var out []Token
+	// Sized for one token per runesPerToken runes, so a typical source
+	// fits without growing, and doubled when it does not: append alone
+	// grows a large slice by a quarter at a time, allocating several
+	// times the final size.
+	out := make([]Token, 0, len(lx.src)/runesPerToken+1)
 	for {
 		t := lx.Next()
+		if len(out) == cap(out) {
+			out = append(make([]Token, 0, 2*cap(out)), out...)
+		}
 		out = append(out, t)
 		if t.Kind == TokEOF {
 			return out
@@ -94,7 +106,8 @@ func (lx *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// multi-rune operators, longest first.
+// operators lists the operators and punctuation, longest first, so the
+// first match at the cursor is the longest one.
 var operators = []string{
 	"<<<", ">>>", "===", "!==",
 	"<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "~^", "^~", "~&", "~|", "**",
@@ -121,17 +134,48 @@ func (lx *Lexer) Next() Token {
 		return lx.lexNumber(start)
 	}
 	// Operators and punctuation.
-	rest := string(lx.src[lx.pos:])
-	for _, op := range operators {
-		if strings.HasPrefix(rest, op) {
-			for range op {
-				lx.advance()
-			}
-			return Token{Kind: TokOp, Text: op, Pos: start}
+	if op := matchOp(lx.src[lx.pos:min(lx.pos+maxOpLen, len(lx.src))]); op != "" {
+		for range op {
+			lx.advance()
 		}
+		return Token{Kind: TokOp, Text: op, Pos: start}
 	}
 	lx.advance()
 	return Token{Kind: TokError, Text: string(r), Pos: start}
+}
+
+// maxOpLen is the rune length of the longest operator ("<<<", "===").
+// Next matches against a window this wide, so each operator token costs
+// O(1) whatever the length of the remaining source.
+const maxOpLen = 3
+
+// opsByFirst indexes operators by their first byte, longest first.
+var opsByFirst = func() (t [128][]string) {
+	for _, op := range operators {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
+// matchOp returns the longest operator that is a prefix of window, or
+// "" if none is.
+func matchOp(window []rune) string {
+	if uint32(window[0]) >= utf8.RuneSelf {
+		return ""
+	}
+next:
+	for _, op := range opsByFirst[window[0]] {
+		if len(op) > len(window) {
+			continue
+		}
+		for i := 0; i < len(op); i++ {
+			if window[i] != rune(op[i]) {
+				continue next
+			}
+		}
+		return op
+	}
+	return ""
 }
 
 func (lx *Lexer) lexString(start Pos) Token {
@@ -165,40 +209,41 @@ func (lx *Lexer) lexString(start Pos) Token {
 }
 
 func (lx *Lexer) lexSysName(start Pos) Token {
-	var sb strings.Builder
-	sb.WriteRune(lx.advance()) // $
+	from := lx.pos
+	lx.advance() // $
 	for lx.pos < len(lx.src) {
 		r := lx.peek()
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		} else {
 			break
 		}
 	}
-	if sb.Len() == 1 {
+	if lx.pos-from == 1 {
 		return Token{Kind: TokError, Text: "$", Pos: start}
 	}
-	return Token{Kind: TokSysName, Text: sb.String(), Pos: start}
+	return Token{Kind: TokSysName, Text: string(lx.src[from:lx.pos]), Pos: start}
 }
 
 func (lx *Lexer) lexIdent(start Pos) Token {
-	var sb strings.Builder
 	if lx.peek() == '\\' { // escaped identifier: up to whitespace
 		lx.advance()
+		from := lx.pos
 		for lx.pos < len(lx.src) && !unicode.IsSpace(lx.peek()) {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		}
-		return Token{Kind: TokIdent, Text: sb.String(), Pos: start}
+		return Token{Kind: TokIdent, Text: string(lx.src[from:lx.pos]), Pos: start}
 	}
+	from := lx.pos
 	for lx.pos < len(lx.src) {
 		r := lx.peek()
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$' {
-			sb.WriteRune(lx.advance())
+			lx.advance()
 		} else {
 			break
 		}
 	}
-	text := sb.String()
+	text := string(lx.src[from:lx.pos])
 	if IsKeyword(text) {
 		return Token{Kind: TokKeyword, Text: text, Pos: start}
 	}

@@ -3,6 +3,7 @@ package vhdl
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer tokenises VHDL source. Like the Verilog lexer it never fails:
@@ -19,12 +20,23 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: []rune(src), line: 1, col: 1}
 }
 
+// runesPerToken is a low estimate of the mean runes per token of RTL
+// source (the bench golden designs and testbenches average about 5).
+const runesPerToken = 4
+
 // Tokens lexes all of src, ending with TokEOF.
 func Tokens(src string) []Token {
 	lx := NewLexer(src)
-	var out []Token
+	// Sized for one token per runesPerToken runes, so a typical source
+	// fits without growing, and doubled when it does not: append alone
+	// grows a large slice by a quarter at a time, allocating several
+	// times the final size.
+	out := make([]Token, 0, len(lx.src)/runesPerToken+1)
 	for {
 		t := lx.Next()
+		if len(out) == cap(out) {
+			out = append(make([]Token, 0, 2*cap(out)), out...)
+		}
 		out = append(out, t)
 		if t.Kind == TokEOF {
 			return out
@@ -76,6 +88,8 @@ func (lx *Lexer) skipSpaceAndComments() {
 	}
 }
 
+// vhdlOps lists the operators and punctuation, longest first, so the
+// first match at the cursor is the longest one.
 var vhdlOps = []string{
 	"<=", ">=", "/=", ":=", "=>", "**",
 	"=", "<", ">", "+", "-", "*", "/", "&",
@@ -107,33 +121,63 @@ func (lx *Lexer) Next() Token {
 			return Token{Kind: TokChar, Text: string(ch), Pos: start}
 		}
 	}
-	rest := string(lx.src[lx.pos:])
-	for _, op := range vhdlOps {
-		if strings.HasPrefix(rest, op) {
-			for range op {
-				lx.advance()
-			}
-			return Token{Kind: TokOp, Text: op, Pos: start}
+	if op := matchOp(lx.src[lx.pos:min(lx.pos+maxOpLen, len(lx.src))]); op != "" {
+		for range op {
+			lx.advance()
 		}
+		return Token{Kind: TokOp, Text: op, Pos: start}
 	}
 	lx.advance()
 	return Token{Kind: TokError, Text: string(r), Pos: start}
 }
 
+// maxOpLen is the rune length of the longest operator ("<=", "**").
+// Next matches against a window this wide, so each operator token costs
+// O(1) whatever the length of the remaining source.
+const maxOpLen = 2
+
+// opsByFirst indexes vhdlOps by their first byte, longest first.
+var opsByFirst = func() (t [128][]string) {
+	for _, op := range vhdlOps {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
+// matchOp returns the longest operator that is a prefix of window, or
+// "" if none is.
+func matchOp(window []rune) string {
+	if uint32(window[0]) >= utf8.RuneSelf {
+		return ""
+	}
+next:
+	for _, op := range opsByFirst[window[0]] {
+		if len(op) > len(window) {
+			continue
+		}
+		for i := 0; i < len(op); i++ {
+			if window[i] != rune(op[i]) {
+				continue next
+			}
+		}
+		return op
+	}
+	return ""
+}
+
 // lexIdentOrBitStr lexes an identifier/keyword, or a based bit string
 // such as x"AF" / b"1010".
 func (lx *Lexer) lexIdentOrBitStr(start Pos) Token {
-	var sb strings.Builder
+	from := lx.pos
 	for lx.pos < len(lx.src) {
 		r := lx.peek()
 		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			sb.WriteRune(unicode.ToLower(r))
+			lx.advance()
 		} else {
 			break
 		}
-		lx.advance()
 	}
-	text := sb.String()
+	text := strings.ToLower(string(lx.src[from:lx.pos]))
 	if (text == "x" || text == "b" || text == "o") && lx.peek() == '"' {
 		t := lx.lexStringOrBitStr(start, text[0])
 		return t
